@@ -24,6 +24,7 @@ from .errors import (
     BoundsError,
     DenseMismatchError,
     DuplicateCoordinateError,
+    NonIntegerCoordinateError,
     ShapeError,
     StructureError,
     UnsortedInputError,
@@ -98,7 +99,7 @@ def convert(
     *,
     optimize: bool = True,
     binary_search: bool = False,
-    assume_sorted: bool = True,
+    assume_sorted: bool | None = True,
     backend: str = "python",
     disabled_passes: tuple[str, ...] = (),
     validate: str = "inputs",
@@ -107,14 +108,15 @@ def convert(
     """Convert a runtime container to another format via synthesized code.
 
     The source descriptor is inferred from the container (sorted COO maps to
-    SCOO unless ``assume_sorted=False``), the inspector is synthesized once
+    SCOO unless ``assume_sorted=False``; ``assume_sorted=None`` picks SCOO
+    or COO by the data without raising), the inspector is synthesized once
     and cached, and the outputs are packed back into the right container.
     ``backend`` selects the lowering (``"python"`` scalar loops or ``"numpy"``
     vectorized); both produce identical outputs.
 
     ``validate`` gates the conversion (:mod:`repro.verify.gate`):
     ``"inputs"`` (the default) runs the source container's :meth:`check`
-    and — under ``assume_sorted=True`` — a cheap monotonicity scan, raising
+    and — under ``assume_sorted=True`` — a monotonicity scan, raising
     :class:`~repro.errors.ValidationError` on malformed input instead of
     emitting a silently corrupt container; ``"full"`` additionally checks
     the output and its dense image; ``"off"`` trusts the caller (benchmark
@@ -142,12 +144,9 @@ def convert(
             validate=level,
         ) as root:
             with obs.span("validate.input", category="verify"):
-                gate.check_input(
+                src_name = gate.admit(
                     container, level=level, assume_sorted=assume_sorted
                 )
-            src_name = container_format(
-                container, assume_sorted=assume_sorted
-            )
             root.set(src=src_name)
             conversion = get_conversion(
                 src_name,
@@ -193,6 +192,7 @@ __all__ = [
     "FormatDescriptor",
     "MortonCOOMatrix",
     "MortonCOOTensor3D",
+    "NonIntegerCoordinateError",
     "ShapeError",
     "StructureError",
     "SynthesisError",

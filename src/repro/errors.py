@@ -2,10 +2,11 @@
 
 Every container ``check()`` and the :func:`repro.convert` validation gate
 raise subclasses of :class:`ValidationError`.  The hierarchy distinguishes
-*what* is wrong (shape, structure, bounds, duplicates, ordering, dense
-mismatch) and each error carries the machine-readable evidence — the
-offending coordinate, position, or value — so the differential fuzzer and
-callers can report and shrink failures without parsing messages.
+*what* is wrong (shape, structure, coordinate type, bounds, duplicates,
+ordering, dense mismatch) and each error carries the machine-readable
+evidence — the offending coordinate, position, or value — so the
+differential fuzzer and callers can report and shrink failures without
+parsing messages.
 
 :class:`ValidationError` subclasses :class:`ValueError`: code (and tests)
 written against the historical ``check()`` contract keep working.
@@ -61,6 +62,15 @@ class BoundsError(ValidationError):
         super().__init__(message, **kw)
 
 
+class NonIntegerCoordinateError(ValidationError):
+    """A coordinate is not an integer (a float, ``None``, a string...)."""
+
+    def __init__(self, message: str, *, value=None, position=None, **kw):
+        self.value = value
+        self.position = position
+        super().__init__(message, **kw)
+
+
 class DuplicateCoordinateError(ValidationError):
     """The same dense coordinate is stored more than once."""
 
@@ -95,6 +105,7 @@ __all__ = [
     "BoundsError",
     "DenseMismatchError",
     "DuplicateCoordinateError",
+    "NonIntegerCoordinateError",
     "ShapeError",
     "StructureError",
     "UnsortedInputError",

@@ -34,11 +34,11 @@ from typing import Callable, Optional, Sequence
 
 from repro.backends import available_backend, get_backend
 from repro.formats import (
-    container_format,
     container_to_env,
     get_format,
     outputs_to_container,
 )
+from repro.formats.bindings import resolve_format
 from repro.synthesis import SynthesisError, SynthesizedConversion, synthesize_cached
 
 from .coststore import CostStore, conversion_cost_key, default_cost_store
@@ -344,7 +344,8 @@ class ConversionPlanner:
                 )
         return current, timings
 
-    def execute(self, container, dst: str, *, assume_sorted: bool = True,
+    def execute(self, container, dst: str, *,
+                assume_sorted: bool | None = True,
                 validate: str = "inputs", trace: bool | None = None,
                 matrix_aware: bool = False):
         """Plan and run the conversion chain on a concrete container.
@@ -365,10 +366,9 @@ class ConversionPlanner:
         with obs.TRACER.forced(trace), obs.span(
             "plan.execute", category="plan", dst=dst, backend=self.backend
         ) as root:
-            gate.check_input(
+            src = gate.admit(
                 container, level=level, assume_sorted=assume_sorted
             )
-            src = container_format(container, assume_sorted=assume_sorted)
             root.set(src=src)
             if not self._plannable_source(src):
                 # A rank-specific planner may be needed; pick by the source.
@@ -472,13 +472,15 @@ def convert_via_plan(
     dst: str,
     *,
     backend: str = "python",
-    assume_sorted: bool = True,
+    assume_sorted: bool | None = True,
     validate: str = "inputs",
     trace: bool | None = None,
     matrix_aware: bool = False,
 ):
     """Convert through the cheapest available chain (module-level helper)."""
-    src = container_format(container, assume_sorted=assume_sorted)
+    # The rank alone picks the planner; the gate in execute() resolves
+    # the order.
+    src = resolve_format(container, is_sorted=False)
     planner = (
         default_planner_3d(backend)
         if src in PLANNABLE_3D

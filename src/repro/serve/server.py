@@ -692,9 +692,9 @@ class ConversionServer:
         from repro.synthesis import SynthesisError
 
         matrix = request["matrix"]
+        # None (the protocol's null) lets the gate detect the order with
+        # the same scan that enforces it.
         assume_sorted = request["assume_sorted"]
-        if assume_sorted is None:
-            assume_sorted = matrix.is_sorted_lexicographic()
         start = time.perf_counter()
         try:
             backend = available_backend(request["backend"]).name

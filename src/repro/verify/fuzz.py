@@ -678,6 +678,7 @@ def _gate_probes(rng) -> list[tuple[str, object, dict]]:
     oob_col = COOMatrix(2, 2, [0, 1], [0, -3], [1.0, 2.0])
     unsorted = COOMatrix(3, 3, [2, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0])
     ragged = COOMatrix(2, 2, [0], [0, 1], [1.0])
+    fractional = COOMatrix(3, 3, [0, 0.5, 2], [0, 1, 2], [1.0, 2.0, 3.0])
     bad_csr_dup = CSRMatrix(2, 3, [0, 2, 3], [1, 1, 2], [1.0, 2.0, 3.0])
     bad_csr_unsorted = CSRMatrix(2, 3, [0, 2, 3], [2, 0, 1],
                                  [1.0, 2.0, 3.0])
@@ -687,12 +688,15 @@ def _gate_probes(rng) -> list[tuple[str, object, dict]]:
     dup3 = COOTensor3D((2, 2, 2), [0, 0], [1, 1], [1, 1], [1.0, 2.0])
     oob3 = COOTensor3D((2, 2, 2), [0, 3], [0, 0], [0, 0], [1.0, 2.0])
     unsorted3 = COOTensor3D((2, 2, 2), [1, 0], [0, 0], [0, 0], [1.0, 2.0])
+    fractional3 = COOTensor3D((2, 2, 2), [0, 1], [0, 1], [0, 1.5],
+                              [1.0, 2.0])
     return [
         ("coo-duplicate", dup, {"dst": "CSR"}),
         ("coo-out-of-bounds-row", oob_row, {"dst": "CSR"}),
         ("coo-out-of-bounds-col", oob_col, {"dst": "CSC"}),
         ("coo-unsorted-claimed-sorted", unsorted, {"dst": "CSR"}),
         ("coo-ragged-arrays", ragged, {"dst": "CSR"}),
+        ("coo-non-integer-row", fractional, {"dst": "CSR"}),
         ("csr-duplicate-columns", bad_csr_dup, {"dst": "CSC"}),
         ("csr-unsorted-columns", bad_csr_unsorted, {"dst": "CSC"}),
         ("csr-nonmonotonic-rowptr", bad_csr_ptr, {"dst": "CSC"}),
@@ -701,6 +705,7 @@ def _gate_probes(rng) -> list[tuple[str, object, dict]]:
         ("coo3d-duplicate", dup3, {"dst": "MCOO3"}),
         ("coo3d-out-of-bounds", oob3, {"dst": "MCOO3"}),
         ("coo3d-unsorted-claimed-sorted", unsorted3, {"dst": "MCOO3"}),
+        ("coo3d-non-integer-z", fractional3, {"dst": "MCOO3"}),
     ]
 
 
