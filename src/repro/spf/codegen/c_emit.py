@@ -973,6 +973,8 @@ class _Emitter:
                 if not isinstance(kw.value, ast.Constant):
                     raise self.err("OrderedList unique is not a literal")
                 unique = bool(kw.value.value)
+            elif kw.arg == "lex":
+                pass  # the key lambda below already spells the order
             else:
                 raise self.err(f"OrderedList keyword {kw.arg!r}")
         if not isinstance(key, ast.Lambda):

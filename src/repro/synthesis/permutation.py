@@ -163,23 +163,29 @@ def emit_permutation(
         # time; the key body is the destination's ordering key rewritten
         # over the source's dense variable names (positional match).
         to_src = dict(zip(dst_r.dense_vars, src.dense_vars))
-        key_body = ", ".join(
+        key_terms = [
             pexpr(k.rename_vars(to_src)) for k in dst_r.ordering.key_exprs
-        )
+        ]
         lambda_params = ", ".join(dense_order)
-        key_text = f"lambda {lambda_params}: ({key_body},)"
+        key_text = f"lambda {lambda_params}: ({', '.join(key_terms)},)"
+        # A key returning the dense coordinates themselves is plain
+        # lexicographic order: the runtime sorts the tuples without
+        # calling it.
+        lex = key_terms == dense_order
         op = "<"
     else:
         key_text = "None"
+        lex = False
         op = "<"
     unique_text = (
         ", unique=True"
         if dst_r.ordering is not None and dst_r.ordering.collapse_ties
         else ""
     )
+    lex_text = ", lex=True" if lex else ""
     comp.new_stmt(
         f"{PERMUTATION} = OrderedList({len(dense_order)}, 1, "
-        f"key={key_text}, op=\"{op}\"{unique_text})",
+        f"key={key_text}, op=\"{op}\"{unique_text}{lex_text})",
         empty_space,
         writes=[PERMUTATION],
         phase=PH_ALLOC,
